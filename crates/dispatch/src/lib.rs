@@ -7,7 +7,11 @@
 //! shards behind naive round-robin and that property collapses: every
 //! shard ends up compiling every template. This crate adds the tier
 //! that preserves it — a dispatcher speaking exactly the shard wire
-//! surface on the same hand-rolled `std::net` substrate:
+//! surface, and running on the shards' own service substrate: the
+//! connection [`listener`](fq_serve::listener), the bounded
+//! [`queue`](fq_serve::queue) and the job
+//! [`registry`](fq_serve::registry) all come from `fq-serve`. What
+//! this crate adds is what a front door does differently:
 //!
 //! * **Template-affinity routing** ([`ring`]): jobs are routed by the
 //!   rendezvous (highest-random-weight) hash of their template
@@ -50,7 +54,6 @@
 #![warn(missing_docs)]
 
 mod forward;
-mod queue;
 mod registry;
 pub mod ring;
 mod sentinel;

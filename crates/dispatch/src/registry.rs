@@ -1,20 +1,15 @@
-//! The dispatcher's job registry: its own id space over *outcomes* —
-//! raw `(status, body)` pairs as the owning shard produced them.
+//! The payload the dispatcher's job registry stores: *outcomes* — raw
+//! `(status, body)` pairs as the owning shard produced them.
 //!
 //! The dispatcher deliberately does not re-model job results: a shard's
 //! response bytes are the product the cluster sells, and storing them
 //! verbatim is what lets the sync path relay byte-identically. The
-//! lifecycle, retention and tombstone mechanics mirror `fq-serve`'s
-//! registry (queued → forwarding → done, TTL + count bounds, `410` for
-//! expired ids) so clients see one consistent polling contract whether
-//! they talk to a shard or the front door.
+//! registry itself is the shards' own ([`fq_serve::registry`]), so
+//! clients see one polling contract — queued → running → done, TTL and
+//! count bounds, `410` for expired ids — whether they talk to a shard
+//! or the front door.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-use frozenqubits::JobId;
+use fq_serve::registry::Finished;
 
 /// A shard's final answer for one job, verbatim.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,325 +20,9 @@ pub(crate) struct Outcome {
     pub(crate) body: String,
 }
 
-impl Outcome {
-    /// Whether this outcome is a successful result document.
-    pub(crate) fn is_ok(&self) -> bool {
+impl Finished for Outcome {
+    /// Only a `200` carries a result document.
+    fn succeeded(&self) -> bool {
         self.status == 200
-    }
-}
-
-/// Where a dispatched job is in its lifecycle.
-#[derive(Clone, Debug)]
-pub(crate) enum DispatchState {
-    /// Accepted, waiting for a forwarder.
-    Queued,
-    /// A forwarder is walking the candidate shards.
-    Forwarding,
-    /// The shard answered (or every candidate was exhausted).
-    Done(Arc<Outcome>),
-}
-
-impl DispatchState {
-    /// The wire name, matching the shard registry's vocabulary so a
-    /// poll envelope reads the same from either tier. `Forwarding`
-    /// reads as `running`: to the client the job is simply executing.
-    pub(crate) fn status_name(&self) -> &'static str {
-        match self {
-            DispatchState::Queued => "queued",
-            DispatchState::Forwarding => "running",
-            DispatchState::Done(outcome) if outcome.is_ok() => "done",
-            DispatchState::Done(_) => "failed",
-        }
-    }
-}
-
-/// What the registry knows about an id.
-#[derive(Clone, Debug)]
-pub(crate) enum Lookup {
-    /// Live: queued, forwarding, or retained done.
-    Active(DispatchState),
-    /// Finished but expired by the TTL/count bound. → `410`.
-    Expired,
-    /// Never issued. → `404`.
-    Unknown,
-}
-
-/// Aggregate counters for `/v1/stats`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct JobCounts {
-    pub(crate) submitted: u64,
-    pub(crate) completed: u64,
-    pub(crate) failed: u64,
-    pub(crate) expired: u64,
-}
-
-/// Same retention rationale as the shard registry: enough tombstones to
-/// answer `410` for any plausibly-held id, bounded.
-const MAX_TOMBSTONES: usize = 65_536;
-
-#[derive(Debug, Default)]
-struct Inner {
-    jobs: HashMap<u64, DispatchState>,
-    done_order: VecDeque<(u64, Instant)>,
-    tombstones: BTreeSet<u64>,
-}
-
-/// The shared outcome registry.
-#[derive(Debug)]
-pub(crate) struct OutcomeStore {
-    inner: Mutex<Inner>,
-    finished: Condvar,
-    next_id: AtomicU64,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    expired: AtomicU64,
-    ttl: Duration,
-    max_done: usize,
-}
-
-impl OutcomeStore {
-    pub(crate) fn new(ttl: Duration, max_done: usize) -> OutcomeStore {
-        OutcomeStore {
-            inner: Mutex::new(Inner::default()),
-            finished: Condvar::new(),
-            next_id: AtomicU64::new(1),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            ttl,
-            max_done: max_done.max(1),
-        }
-    }
-
-    fn prune(&self, inner: &mut Inner, now: Instant) {
-        while let Some(&(id, done_at)) = inner.done_order.front() {
-            let over_count = inner.done_order.len() > self.max_done;
-            let over_ttl = now.duration_since(done_at) >= self.ttl;
-            if !over_count && !over_ttl {
-                break;
-            }
-            inner.done_order.pop_front();
-            if inner.jobs.remove(&id).is_some() {
-                inner.tombstones.insert(id);
-                self.expired.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        while inner.tombstones.len() > MAX_TOMBSTONES {
-            let oldest = *inner.tombstones.iter().next().expect("non-empty set");
-            inner.tombstones.remove(&oldest);
-        }
-    }
-
-    /// Mints a fresh dispatcher-side id and registers it as queued.
-    pub(crate) fn register(&self) -> JobId {
-        let id = JobId::new(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
-        self.prune(&mut inner, Instant::now());
-        inner.jobs.insert(id.value(), DispatchState::Queued);
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        id
-    }
-
-    /// Removes a registration whose queue push bounced.
-    pub(crate) fn discard(&self, id: JobId) {
-        self.inner
-            .lock()
-            .expect("registry lock poisoned")
-            .jobs
-            .remove(&id.value());
-        self.submitted.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Marks `id` as claimed by a forwarder.
-    pub(crate) fn mark_forwarding(&self, id: JobId) {
-        self.inner
-            .lock()
-            .expect("registry lock poisoned")
-            .jobs
-            .insert(id.value(), DispatchState::Forwarding);
-    }
-
-    /// Records `id`'s outcome and wakes synchronous waiters.
-    pub(crate) fn complete(&self, id: JobId, outcome: Outcome) {
-        match outcome.is_ok() {
-            true => self.completed.fetch_add(1, Ordering::Relaxed),
-            false => self.failed.fetch_add(1, Ordering::Relaxed),
-        };
-        let now = Instant::now();
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
-        inner
-            .jobs
-            .insert(id.value(), DispatchState::Done(Arc::new(outcome)));
-        inner.done_order.push_back((id.value(), now));
-        self.prune(&mut inner, now);
-        drop(inner);
-        self.finished.notify_all();
-    }
-
-    /// What the registry knows about `id`.
-    pub(crate) fn lookup(&self, id: JobId) -> Lookup {
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
-        self.prune(&mut inner, Instant::now());
-        match inner.jobs.get(&id.value()) {
-            Some(state) => Lookup::Active(state.clone()),
-            None if inner.tombstones.contains(&id.value()) => Lookup::Expired,
-            None => Lookup::Unknown,
-        }
-    }
-
-    /// Blocks until `id` finishes or `timeout` elapses; returns the
-    /// last observed state, or `None` for an unknown id.
-    pub(crate) fn await_done(&self, id: JobId, timeout: Duration) -> Option<DispatchState> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
-        loop {
-            let state = inner.jobs.get(&id.value())?.clone();
-            if matches!(state, DispatchState::Done(_)) {
-                return Some(state);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(state);
-            }
-            let (guard, _) = self
-                .finished
-                .wait_timeout(inner, deadline - now)
-                .expect("registry lock poisoned");
-            inner = guard;
-        }
-    }
-
-    pub(crate) fn counts(&self) -> JobCounts {
-        JobCounts {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ok() -> Outcome {
-        Outcome {
-            status: 200,
-            body: "{}".into(),
-        }
-    }
-
-    #[test]
-    fn lifecycle_counts_and_status_names() {
-        let store = OutcomeStore::new(Duration::from_secs(3600), 4096);
-        let a = store.register();
-        let b = store.register();
-        assert!(matches!(
-            store.lookup(a),
-            Lookup::Active(DispatchState::Queued)
-        ));
-        store.mark_forwarding(a);
-        let Lookup::Active(state) = store.lookup(a) else {
-            panic!("live")
-        };
-        assert_eq!(state.status_name(), "running");
-        store.complete(a, ok());
-        store.complete(
-            b,
-            Outcome {
-                status: 503,
-                body: "{}".into(),
-            },
-        );
-        let Lookup::Active(done) = store.lookup(a) else {
-            panic!("live")
-        };
-        assert_eq!(done.status_name(), "done");
-        let Lookup::Active(failed) = store.lookup(b) else {
-            panic!("live")
-        };
-        assert_eq!(failed.status_name(), "failed");
-        assert_eq!(
-            store.counts(),
-            JobCounts {
-                submitted: 2,
-                completed: 1,
-                failed: 1,
-                expired: 0
-            }
-        );
-        assert!(matches!(store.lookup(JobId::new(999)), Lookup::Unknown));
-    }
-
-    #[test]
-    fn ttl_expiry_tombstones_like_the_shard_registry() {
-        let store = OutcomeStore::new(Duration::from_millis(20), 4096);
-        let id = store.register();
-        store.complete(id, ok());
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(matches!(store.lookup(id), Lookup::Expired));
-        assert_eq!(store.counts().expired, 1);
-    }
-
-    #[test]
-    fn fault_interrupted_failure_expires_instead_of_leaking() {
-        // A job whose forwarding was cut short by faults completes with
-        // a *failure* outcome (shed 503, upstream 502, ...). Failures
-        // must ride the same retention train as successes: expired by
-        // TTL, tombstoned, counted — never retained forever.
-        let store = OutcomeStore::new(Duration::from_millis(20), 4096);
-        let id = store.register();
-        store.mark_forwarding(id);
-        store.complete(
-            id,
-            Outcome {
-                status: 503,
-                body: "{\"error\":{\"kind\":\"cluster_saturated\"}}".into(),
-            },
-        );
-        assert!(matches!(store.lookup(id), Lookup::Active(_)));
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(
-            matches!(store.lookup(id), Lookup::Expired),
-            "a failed outcome must expire like a successful one"
-        );
-        assert_eq!(store.counts().expired, 1);
-        assert_eq!(store.counts().failed, 1);
-    }
-
-    #[test]
-    fn count_bound_expires_oldest_done_first() {
-        // The count bound alone (generous TTL) must expire the oldest
-        // finished job and answer Expired for it, while the newer ones
-        // stay pollable — the poll-after-expiry half of the 410
-        // contract without waiting on wall-clock TTLs.
-        let store = OutcomeStore::new(Duration::from_secs(3600), 2);
-        let ids: Vec<JobId> = (0..3).map(|_| store.register()).collect();
-        for &id in &ids {
-            store.complete(id, ok());
-        }
-        // Completing the third pruned the first (max_done = 2).
-        assert!(matches!(store.lookup(ids[0]), Lookup::Expired));
-        assert!(matches!(store.lookup(ids[1]), Lookup::Active(_)));
-        assert!(matches!(store.lookup(ids[2]), Lookup::Active(_)));
-        assert_eq!(store.counts().expired, 1);
-        // An id never issued still answers Unknown, not Expired.
-        assert!(matches!(store.lookup(JobId::new(999)), Lookup::Unknown));
-    }
-
-    #[test]
-    fn await_done_wakes_on_completion() {
-        let store = Arc::new(OutcomeStore::new(Duration::from_secs(3600), 4096));
-        let id = store.register();
-        let waiter = {
-            let store = Arc::clone(&store);
-            std::thread::spawn(move || store.await_done(id, Duration::from_secs(30)))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        store.complete(id, ok());
-        assert_eq!(waiter.join().unwrap().unwrap().status_name(), "done");
     }
 }

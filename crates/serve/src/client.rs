@@ -27,7 +27,7 @@
 //! # Ok::<(), frozenqubits::FqError>(())
 //! ```
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -366,10 +366,16 @@ fn read_framed_response(
         )));
     }
 
+    // A stalled peer is not a truncated one: a read that hit the socket
+    // timeout says so, and only a closed or reset connection reads as
+    // truncation.
     let mut body = vec![0u8; length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|_| truncated("mid-body"))?;
+    reader.read_exact(&mut body).map_err(|e| match e.kind() {
+        ErrorKind::TimedOut | ErrorKind::WouldBlock => FqError::Io(format!(
+            "HTTP response timed out mid-body ({length}-byte body announced): {e}"
+        )),
+        _ => truncated("mid-body"),
+    })?;
     let body =
         String::from_utf8(body).map_err(|_| FqError::Io("non-UTF-8 response body".to_string()))?;
 

@@ -7,8 +7,10 @@
 //! layer, hand-rolled on `std::net` because the workspace is offline
 //! (no hyper/tokio):
 //!
-//! * a `TcpListener` accept loop feeding a **bounded job queue** (full →
-//!   `503` backpressure, never unbounded memory);
+//! * a `TcpListener` accept loop ([`listener`]) feeding a **bounded job
+//!   queue** ([`queue`]; full → `503` backpressure, never unbounded
+//!   memory) and a bounded-retention job [`registry`] — all three
+//!   generic and public, because `fq-dispatch` runs on them too;
 //! * a **worker pool** draining the queue through one shared
 //!   [`BatchRunner`](frozenqubits::BatchRunner) — concurrent clients
 //!   warm each other's compiled templates;
@@ -57,10 +59,11 @@
 pub mod client;
 pub mod error;
 pub mod http;
-mod queue;
+pub mod listener;
+pub mod queue;
+pub mod registry;
 mod router;
 mod server;
-mod store;
 pub mod wire;
 mod worker;
 

@@ -1,5 +1,6 @@
-//! The server proper: configuration, the accept loop, per-connection
-//! request handling, and the endpoint implementations.
+//! The server proper: configuration, wiring, and the endpoint
+//! implementations. Accepting and framing connections is the shared
+//! [`listener`](crate::listener)'s job.
 //!
 //! The data path is
 //!
@@ -18,14 +19,12 @@
 //! /v1/jobs/{id}`). Either way the job goes through the same queue and
 //! workers, so backpressure and cache warming behave identically.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use fq_faults::{FaultKind, FaultPlan, FaultSite, FaultyStore};
+use fq_faults::{FaultPlan, FaultyStore};
 use frozenqubits::api::BackendSpec;
 use frozenqubits::{
     BatchRunner, DiskStore, FqError, JobSpec, MemoryStore, QosTier, TemplateArtifact,
@@ -34,12 +33,13 @@ use frozenqubits::{
 use serde::json::Value;
 
 use crate::error::{error_response, job_error_response, kind_name, status_for};
-use crate::http::{self, ReadError, Request, Response};
-use crate::queue::{JobQueue, PushError, QueuedJob};
+use crate::http::{Request, Response};
+use crate::listener::{self, authorized, ListenerConfig, Service};
+use crate::queue::{BoundedQueue, PushError};
+use crate::registry::{JobPhase, Registry};
 use crate::router::{route, Route};
-use crate::store::{JobState, JobStore, Lookup};
 use crate::wire::{job_envelope, submit_ack, WIRE_V};
-use crate::worker::WorkerPool;
+use crate::worker::{JobOutcome, QueuedJob, WorkerPool};
 
 /// Server configuration. Start from [`ServerConfig::default`] and
 /// override what you need; every field has a conservative default.
@@ -137,10 +137,11 @@ pub struct ServerConfig {
     pub auth_token: Option<String>,
     /// Chaos-test fault injection (see `fq-faults`). When set, the
     /// template store is wrapped in a [`FaultyStore`], the accept loop
-    /// rolls [`FaultSite::Accept`] per connection, and workers roll
-    /// [`FaultSite::Worker`] per job. `None` (the default, and the only
-    /// production setting) leaves every path byte-identical to a build
-    /// without the hooks.
+    /// rolls [`FaultSite::Accept`](fq_faults::FaultSite::Accept) per
+    /// connection, and workers roll
+    /// [`FaultSite::Worker`](fq_faults::FaultSite::Worker) per job.
+    /// `None` (the default, and the only production setting) leaves
+    /// every path byte-identical to a build without the hooks.
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -173,8 +174,8 @@ impl Default for ServerConfig {
 /// Everything the request handlers share.
 #[derive(Debug)]
 struct ServerState {
-    queue: Arc<JobQueue>,
-    store: Arc<JobStore>,
+    queue: Arc<BoundedQueue<QueuedJob>>,
+    store: Arc<Registry<JobOutcome>>,
     runner: Arc<BatchRunner>,
     config: ServerConfig,
     /// Workers executing a job right now (incremented/decremented by
@@ -213,8 +214,7 @@ impl Server {
                 "max_connections must be at least 1".into(),
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
+        let socket = TcpListener::bind(&config.addr)?;
 
         let mut runner = BatchRunner::new().with_threads(config.engine_threads);
         runner = match (&config.cache_dir, config.cache_capacity) {
@@ -253,8 +253,8 @@ impl Server {
                 }
             }
         }
-        let queue = Arc::new(JobQueue::new(config.queue_capacity));
-        let store = Arc::new(JobStore::new(config.job_ttl, config.max_done_jobs));
+        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
+        let store = Arc::new(Registry::new(config.job_ttl, config.max_done_jobs));
         let runner = Arc::new(runner);
         let busy = Arc::new(AtomicUsize::new(0));
         let pool = WorkerPool::spawn(
@@ -265,110 +265,38 @@ impl Server {
             Arc::clone(&busy),
             config.fault_plan.clone(),
         );
-        let state = Arc::new(ServerState {
-            queue: Arc::clone(&queue),
+        let limits = ListenerConfig {
+            max_connections: config.max_connections,
+            read_timeout: config.read_timeout,
+            request_deadline: config.request_deadline,
+            max_body_bytes: config.max_body_bytes,
+            fault_plan: config.fault_plan.clone(),
+        };
+        let drain = {
+            let queue = Arc::clone(&queue);
+            move || {
+                queue.close();
+                pool.join();
+            }
+        };
+        let state = ServerState {
+            queue,
             store,
             runner,
             config,
             busy,
             started: Instant::now(),
             tier_submitted: Default::default(),
-        });
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            let spawned = thread::Builder::new()
-                .name("fq-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &state, &stop));
-            match spawned {
-                Ok(handle) => handle,
-                Err(e) => {
-                    // Unwind the already-running pool: otherwise its
-                    // workers block on the never-closed queue forever.
-                    queue.close();
-                    pool.join();
-                    return Err(FqError::Io(format!("spawning the accept thread: {e}")));
-                }
-            }
         };
-
-        Ok(ServerHandle {
-            addr,
-            stop,
-            accept: Some(accept),
-            pool: Some(pool),
-            queue,
-        })
+        let handler = move |request: &Request| handle_request(&state, request);
+        listener::serve(socket, "fq-serve", limits, handler, drain)
     }
 }
 
-/// A running server: address discovery plus orderly shutdown.
-///
-/// Dropping the handle shuts the server down (stops accepting, closes
-/// the queue, drains queued jobs through the workers, joins them), so a
-/// test that panics still releases its port and threads.
-#[derive(Debug)]
-pub struct ServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool>,
-    queue: Arc<JobQueue>,
-}
-
-impl ServerHandle {
-    /// The actual bound address (resolves `:0` ephemeral binds).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting, drains already-queued jobs through the workers,
-    /// and joins the accept and worker threads.
-    pub fn shutdown(mut self) {
-        self.stop_internal();
-    }
-
-    /// Blocks the calling thread for the server's lifetime (the `serve`
-    /// binary's main loop). Returns only if the accept loop exits, then
-    /// performs the same cleanup as [`ServerHandle::shutdown`].
-    pub fn join(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.stop_internal();
-    }
-
-    fn stop_internal(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the accept loop: `TcpListener::accept` has no timeout, so
-        // poke it with a throwaway connection. A `0.0.0.0`/`[::]` bind
-        // is not connectable on every platform — poke loopback instead.
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        let _ = TcpStream::connect(wake);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.queue.close();
-        if let Some(pool) = self.pool.take() {
-            pool.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop_internal();
-    }
-}
+/// A running server: address discovery plus orderly shutdown. Dropping
+/// the handle shuts the server down (stops accepting, closes the queue,
+/// drains queued jobs through the workers, joins them).
+pub type ServerHandle = Service;
 
 /// Wraps `store` in a [`FaultyStore`] when a chaos plan is configured;
 /// the identity function otherwise.
@@ -376,124 +304,6 @@ fn faulted(store: Box<dyn TemplateStore>, plan: Option<&Arc<FaultPlan>>) -> Box<
     match plan {
         Some(plan) => Box::new(FaultyStore::new(store, Arc::clone(plan))),
         None => store,
-    }
-}
-
-/// Decrements the live-connection count even if a handler panics.
-struct ConnectionSlot(Arc<AtomicUsize>);
-
-impl Drop for ConnectionSlot {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Refuses an over-cap connection with `503`, then drains the client's
-/// already-sent request bytes before closing. Closing with unread data
-/// in the receive queue makes the kernel RST the connection and discard
-/// the queued response — the client would see "connection reset"
-/// instead of the 503 (a race the connection-cap test hits under load).
-/// The drain is bounded by a short read timeout so a hostile peer can
-/// only hold the accept thread briefly.
-fn shed_connection(mut stream: TcpStream) {
-    let _ = error_response(503, "overloaded", "connection limit reached")
-        .write(&mut stream, false)
-        .and_then(|()| stream.shutdown(std::net::Shutdown::Write));
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut scratch = [0u8; 4096];
-    while matches!(std::io::Read::read(&mut stream, &mut scratch), Ok(n) if n > 0) {}
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, stop: &Arc<AtomicBool>) {
-    let active = Arc::new(AtomicUsize::new(0));
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match conn {
-            Ok(stream) => stream,
-            Err(_) => {
-                // Persistent accept errors (e.g. fd exhaustion) would
-                // otherwise busy-spin this thread at 100% CPU; back off
-                // briefly so in-flight connections can release fds.
-                thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        // Connection cap: beyond it, shed load with an immediate 503
-        // instead of spawning an unbounded number of threads.
-        if active.load(Ordering::SeqCst) >= state.config.max_connections {
-            shed_connection(stream);
-            continue;
-        }
-        active.fetch_add(1, Ordering::SeqCst);
-        let slot = ConnectionSlot(Arc::clone(&active));
-        let state = Arc::clone(state);
-        let stop = Arc::clone(stop);
-        // Connection threads are detached: each is bounded by the
-        // per-request deadline + read timeout, counted against
-        // `max_connections`, and closed (`connection: close`) once
-        // `stop` is set.
-        let spawned = thread::Builder::new()
-            .name("fq-serve-conn".into())
-            .spawn(move || {
-                let _slot = slot;
-                handle_connection(stream, &state, &stop);
-            });
-        // Spawn failure: `slot` moved into the closure that never ran —
-        // it is dropped with the error, releasing the count.
-        drop(spawned);
-    }
-}
-
-/// Serves one connection: a keep-alive loop of read → route → respond.
-/// Framing errors answer with the mapped status (when one applies) and
-/// close; the loop also closes once shutdown has begun.
-fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>, stop: &Arc<AtomicBool>) {
-    if let Some(plan) = &state.config.fault_plan {
-        match plan.roll(FaultSite::Accept) {
-            // Drop the accepted connection before reading a byte — the
-            // client sees a reset/EOF, the transport shape of a shard
-            // dying between `connect` and its first response.
-            Some(FaultKind::Refuse) => return,
-            // Sit on the connection (paused-shard / slow-loris shape):
-            // the client's read blocks until its own timeout fires.
-            Some(FaultKind::Stall(ms)) => thread::sleep(Duration::from_millis(ms)),
-            _ => {}
-        }
-    }
-    let _ = stream.set_read_timeout(Some(state.config.read_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(http::DeadlineReader::new(read_half));
-    loop {
-        // Arm the slow-drip guard: this whole request must arrive within
-        // `request_deadline` (reads already in flight add at most one
-        // `read_timeout`).
-        reader.get_mut().arm(state.config.request_deadline);
-        match http::read_request(&mut reader, state.config.max_body_bytes) {
-            Ok(request) => {
-                let keep_alive = request.keep_alive && !stop.load(Ordering::SeqCst);
-                let response = handle_request(state, &request);
-                if response.write(&mut stream, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Err(error) => {
-                if let Some(status) = error.status() {
-                    let kind = match &error {
-                        ReadError::PayloadTooLarge { .. } => "payload_too_large",
-                        ReadError::NotImplemented(_) => "not_implemented",
-                        ReadError::VersionNotSupported(_) => "http_version",
-                        _ => "bad_request",
-                    };
-                    let _ =
-                        error_response(status, kind, &error.message()).write(&mut stream, false);
-                }
-                return;
-            }
-        }
     }
 }
 
@@ -510,15 +320,7 @@ fn handle_request(state: &ServerState, request: &Request) -> Response {
         ),
         Route::Stats => Response::json(200, stats_body(state)),
         Route::Submit => handle_submit(state, request),
-        Route::Job(id) => match state.store.lookup(id) {
-            Lookup::Active(job_state) => Response::json(200, job_envelope(id, &job_state)),
-            Lookup::Expired => error_response(
-                410,
-                "expired",
-                &format!("job `{id}` finished, but its result passed the retention bound (TTL/count) and was expired"),
-            ),
-            Lookup::Unknown => error_response(404, "not_found", &format!("no such job `{id}`")),
-        },
+        Route::Job(id) => state.store.poll(id, job_envelope),
         // The message is `JobId::FromStr`'s own (carried through the
         // router), so the wire-facing text has exactly one source.
         Route::MalformedJobId(message) => error_response(400, "bad_request", &message),
@@ -531,7 +333,7 @@ fn handle_request(state: &ServerState, request: &Request) -> Response {
                 &format!("no template `{fingerprint}` resident"),
             ),
         },
-        Route::TemplatePush => match authorized(state, request) {
+        Route::TemplatePush => match authorized(request, state.config.auth_token.as_deref()) {
             true => handle_template_push(state, request),
             false => error_response(
                 401,
@@ -615,7 +417,7 @@ fn handle_submit(state: &ServerState, request: &Request) -> Response {
         // Finished in time: the body is the bare canonical JobResult
         // document — byte-identical to `JobResult::to_json()` of a
         // direct `BatchRunner` run of the same spec.
-        Some(JobState::Done(result)) => match result.as_ref() {
+        Some(JobPhase::Done(result)) => match result.as_ref() {
             Ok(result) => {
                 Response::json(200, result.to_json()).with_header("fq-job-id", id.to_string())
             }
@@ -772,17 +574,4 @@ fn stats_body(state: &ServerState) -> String {
         ),
     ])
     .to_json()
-}
-
-/// Checks the static bearer token gating template pushes. A server
-/// started without `--auth-token` accepts everything (the pre-auth
-/// behavior); with one, only an exact `Bearer <token>` match passes.
-fn authorized(state: &ServerState, request: &Request) -> bool {
-    match &state.config.auth_token {
-        None => true,
-        Some(token) => request
-            .header("authorization")
-            .and_then(|value| value.strip_prefix("Bearer "))
-            .is_some_and(|presented| presented == token.as_str()),
-    }
 }

@@ -17,7 +17,8 @@ use frozenqubits::{FqError, JobId, JobResult};
 use serde::json::Value;
 
 use crate::error::kind_name;
-use crate::store::JobState;
+use crate::registry::JobPhase;
+use crate::worker::JobOutcome;
 
 /// Version tag of the service envelopes (independent of the job-spec
 /// wire version).
@@ -35,14 +36,14 @@ pub fn submit_ack(id: JobId) -> String {
 
 /// The poll envelope for `GET /v1/jobs/{id}`: status plus, when
 /// finished, either the embedded result document or the error object.
-pub(crate) fn job_envelope(id: JobId, state: &JobState) -> String {
+pub(crate) fn job_envelope(id: JobId, state: &JobPhase<JobOutcome>) -> String {
     let mut pairs = vec![
         ("v", Value::UInt(WIRE_V)),
         ("id", Value::string(id.to_string())),
         ("status", Value::string(state.status_name())),
     ];
     match state {
-        JobState::Done(result) => match result.as_ref() {
+        JobPhase::Done(result) => match result.as_ref() {
             Ok(result) => pairs.push(("result", embed_result(result))),
             Err(error) => pairs.push((
                 "error",
@@ -52,7 +53,7 @@ pub(crate) fn job_envelope(id: JobId, state: &JobState) -> String {
                 ]),
             )),
         },
-        JobState::Queued | JobState::Running => {}
+        JobPhase::Queued | JobPhase::Running => {}
     }
     Value::object(pairs).to_json()
 }
@@ -108,7 +109,7 @@ mod tests {
             .unwrap();
         let envelope = job_envelope(
             JobId::new(1),
-            &JobState::Done(std::sync::Arc::new(Ok(result.clone()))),
+            &JobPhase::Done(std::sync::Arc::new(Ok(result.clone()))),
         );
         let parsed = Value::parse(&envelope).unwrap();
         assert_eq!(parsed.field("status").unwrap().as_str().unwrap(), "done");
@@ -125,7 +126,7 @@ mod tests {
     fn envelopes_carry_errors_and_progress_states() {
         let failed = job_envelope(
             JobId::new(2),
-            &JobState::Done(std::sync::Arc::new(Err(FqError::InvalidConfig(
+            &JobPhase::Done(std::sync::Arc::new(Err(FqError::InvalidConfig(
                 "boom".into(),
             )))),
         );
@@ -142,7 +143,7 @@ mod tests {
         );
         assert!(result_from_envelope(&failed).is_err());
 
-        let queued = job_envelope(JobId::new(3), &JobState::Queued);
+        let queued = job_envelope(JobId::new(3), &JobPhase::Queued);
         assert!(Value::parse(&queued).unwrap().field("result").is_err());
     }
 }

@@ -13,10 +13,22 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 use fq_faults::{FaultKind, FaultPlan, FaultSite};
-use frozenqubits::{BatchRunner, FqError};
+use frozenqubits::{BatchRunner, FqError, JobId, JobResult, JobSpec};
 
-use crate::queue::JobQueue;
-use crate::store::JobStore;
+use crate::queue::BoundedQueue;
+use crate::registry::Registry;
+
+/// What a shard's registry records for a finished job.
+pub(crate) type JobOutcome = Result<JobResult, FqError>;
+
+/// One queued submission.
+#[derive(Debug)]
+pub(crate) struct QueuedJob {
+    /// The id the registry minted for this submission.
+    pub(crate) id: JobId,
+    /// The validated-on-parse job spec.
+    pub(crate) spec: JobSpec,
+}
 
 /// A fixed-size pool of job-executing threads.
 #[derive(Debug)]
@@ -32,8 +44,8 @@ impl WorkerPool {
     /// load to the dispatcher's sentinel.
     pub(crate) fn spawn(
         count: usize,
-        queue: Arc<JobQueue>,
-        store: Arc<JobStore>,
+        queue: Arc<BoundedQueue<QueuedJob>>,
+        store: Arc<Registry<JobOutcome>>,
         runner: Arc<BatchRunner>,
         busy: Arc<AtomicUsize>,
         fault_plan: Option<Arc<FaultPlan>>,
@@ -128,15 +140,14 @@ impl Drop for BusyGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::QueuedJob;
+    use crate::registry::JobPhase;
     use frozenqubits::api::{DeviceSpec, JobBuilder};
-    use frozenqubits::JobId;
     use std::time::Duration;
 
     #[test]
     fn workers_drain_the_queue_and_record_results() {
-        let queue = Arc::new(JobQueue::new(8));
-        let store = Arc::new(JobStore::new(Duration::from_secs(3600), 4096));
+        let queue = Arc::new(BoundedQueue::new(8));
+        let store = Arc::new(Registry::new(Duration::from_secs(3600), 4096));
         let runner = Arc::new(BatchRunner::new().with_threads(1));
         let busy = Arc::new(AtomicUsize::new(0));
         let pool = WorkerPool::spawn(
@@ -170,7 +181,7 @@ mod tests {
         let expected = spec.run().unwrap();
         for id in ids {
             let state = store.await_done(id, Duration::from_secs(60)).unwrap();
-            let crate::store::JobState::Done(result) = state else {
+            let JobPhase::Done(result) = state else {
                 panic!("job should have finished");
             };
             assert_eq!(result.as_ref().as_ref().unwrap(), &expected);
@@ -185,8 +196,8 @@ mod tests {
 
     #[test]
     fn injected_panic_is_contained_and_the_worker_keeps_draining() {
-        let queue = Arc::new(JobQueue::new(8));
-        let store = Arc::new(JobStore::new(Duration::from_secs(3600), 4096));
+        let queue = Arc::new(BoundedQueue::new(8));
+        let store = Arc::new(Registry::new(Duration::from_secs(3600), 4096));
         let runner = Arc::new(BatchRunner::new().with_threads(1));
         let busy = Arc::new(AtomicUsize::new(0));
         // Exactly the first job panics; the second must still execute
@@ -226,14 +237,14 @@ mod tests {
             .collect();
 
         let first = store.await_done(ids[0], Duration::from_secs(60)).unwrap();
-        let crate::store::JobState::Done(result) = first else {
+        let JobPhase::Done(result) = first else {
             panic!("panicked job must still reach a terminal state");
         };
         let error = result.as_ref().as_ref().unwrap_err().to_string();
         assert!(error.contains("injected fault: worker panic"), "{error}");
 
         let second = store.await_done(ids[1], Duration::from_secs(60)).unwrap();
-        let crate::store::JobState::Done(result) = second else {
+        let JobPhase::Done(result) = second else {
             panic!("job after the panic should have finished");
         };
         assert_eq!(result.as_ref().as_ref().unwrap(), &spec.run().unwrap());

@@ -6,6 +6,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use fq_serve::client::ShardConn;
 use frozenqubits::FqError;
@@ -172,6 +173,9 @@ fn truncated_response_is_typed_io_error() {
         stream
             .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\nonly-a-few-bytes")
             .unwrap();
+        // Both handles share one socket: it closes only once the cloned
+        // reader is gone too.
+        drop(reader);
         drop(stream);
         // Second connection: behave.
         let (mut stream, _) = listener.accept().unwrap();
@@ -194,6 +198,44 @@ fn truncated_response_is_typed_io_error() {
     let response = conn.request("GET", "/v1/stats", None).unwrap();
     assert_eq!(response.body, "ok");
     assert_eq!(conn.connects(), 2);
+    shard.join().unwrap();
+}
+
+/// A peer that sends half a body and then holds the socket open is a
+/// stall, not a truncation: the read timeout fires and the error says
+/// it timed out.
+#[test]
+fn stalled_body_is_a_timeout_not_a_truncation() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let shard = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        read_request_head(&mut reader);
+        stream
+            .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\nhalf-a-body")
+            .unwrap();
+        // Keep the socket open until the client has given up.
+        let _ = held.recv();
+    });
+
+    let mut conn = ShardConn::new(&addr);
+    conn.set_read_timeout(Duration::from_millis(200));
+    let started = Instant::now();
+    let error = conn.request("GET", "/v1/stats", None).unwrap_err();
+    match error {
+        FqError::Io(message) => {
+            assert!(message.contains("timed out"), "got `{message}`");
+            assert!(!message.contains("truncated"), "got `{message}`");
+        }
+        other => panic!("expected Io, got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "the short timeout applies"
+    );
+    release.send(()).unwrap();
     shard.join().unwrap();
 }
 

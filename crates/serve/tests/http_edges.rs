@@ -8,12 +8,15 @@
 //! lines — plus the positive framing paths (keep-alive reuse, sync
 //! degradation to async under a zero-worker drain).
 
+mod common;
+
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::time::Duration;
 
+use common::{error_kind, raw_roundtrip, small_spec, status_of};
 use fq_serve::{client, Server, ServerConfig, ServerHandle};
-use frozenqubits::api::{DeviceSpec, JobBuilder, JobSpec};
+use frozenqubits::api::{DeviceSpec, JobBuilder};
 use frozenqubits::QosTier;
 use serde::json::Value;
 
@@ -21,52 +24,6 @@ fn spawn(config: ServerConfig) -> (ServerHandle, String) {
     let handle = Server::spawn(config).unwrap();
     let addr = handle.addr().to_string();
     (handle, addr)
-}
-
-fn small_spec() -> JobSpec {
-    JobBuilder::new()
-        .barabasi_albert(8, 1, 1)
-        .device(DeviceSpec::IbmMontreal)
-        .baseline()
-        .build()
-        .unwrap()
-}
-
-/// Writes raw bytes, optionally half-closes the write side, and reads
-/// the full response (the server closes after an error).
-fn raw_roundtrip(addr: &str, request: &[u8], half_close: bool) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(request).unwrap();
-    if half_close {
-        stream.shutdown(Shutdown::Write).unwrap();
-    }
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    response
-}
-
-fn status_of(response: &str) -> u16 {
-    response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparsable response: {response:?}"))
-}
-
-fn error_kind(response: &str) -> String {
-    let body = response.split("\r\n\r\n").nth(1).expect("a body");
-    Value::parse(body)
-        .unwrap_or_else(|e| panic!("error bodies are JSON ({e:?}): {body:?}"))
-        .field("error")
-        .unwrap()
-        .field("kind")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .to_string()
 }
 
 #[test]
