@@ -64,6 +64,7 @@ pub mod queue;
 pub mod registry;
 mod router;
 mod server;
+mod store;
 pub mod wire;
 mod worker;
 

@@ -36,10 +36,11 @@ use crate::error::{error_response, job_error_response, kind_name, status_for};
 use crate::http::{Request, Response};
 use crate::listener::{self, authorized, ListenerConfig, Service};
 use crate::queue::{BoundedQueue, PushError};
-use crate::registry::{JobPhase, Registry};
+use crate::registry::JobPhase;
 use crate::router::{route, Route};
+use crate::store::JobStore;
 use crate::wire::{job_envelope, submit_ack, WIRE_V};
-use crate::worker::{JobOutcome, QueuedJob, WorkerPool};
+use crate::worker::{QueuedJob, WorkerPool};
 
 /// Server configuration. Start from [`ServerConfig::default`] and
 /// override what you need; every field has a conservative default.
@@ -175,7 +176,7 @@ impl Default for ServerConfig {
 #[derive(Debug)]
 struct ServerState {
     queue: Arc<BoundedQueue<QueuedJob>>,
-    store: Arc<Registry<JobOutcome>>,
+    store: Arc<JobStore>,
     runner: Arc<BatchRunner>,
     config: ServerConfig,
     /// Workers executing a job right now (incremented/decremented by
@@ -254,7 +255,7 @@ impl Server {
             }
         }
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let store = Arc::new(Registry::new(config.job_ttl, config.max_done_jobs));
+        let store = Arc::new(JobStore::new(config.job_ttl, config.max_done_jobs));
         let runner = Arc::new(runner);
         let busy = Arc::new(AtomicUsize::new(0));
         let pool = WorkerPool::spawn(

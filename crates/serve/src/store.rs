@@ -1,258 +1,42 @@
-//! The in-memory job registry: id allocation, lifecycle tracking,
-//! completion wake-ups for synchronous submitters, and bounded retention
-//! of finished jobs.
+//! The shard's job store: the generic [`Registry`] holding the engine's
+//! own outcomes.
 //!
-//! Every submission gets a monotonically increasing [`JobId`] and a
-//! state that only moves forward: `Queued → Running → Done`. Finished
-//! results are retained for polling, but not forever: a TTL and a count
-//! bound expire the oldest completed entries (in completion order), so a
-//! long-running server's registry cannot grow without bound. Expired ids
-//! stay distinguishable from never-issued ids — polling one yields a
-//! structured `410 Gone`, not a `404` — via a compact tombstone set.
+//! A shard records each finished job as the engine returned it — a
+//! `JobResult` or the `FqError` that stopped it — so a poll can embed
+//! the canonical result or the structured error. Lifecycle, retention
+//! and the `410`/`404` mapping are the registry's; the tests here pin
+//! them for this concrete payload.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use frozenqubits::{FqError, JobResult};
 
-use frozenqubits::{FqError, JobId, JobResult};
+use crate::registry::Registry;
 
-/// Where a job is in its lifecycle.
-#[derive(Clone, Debug)]
-pub(crate) enum JobState {
-    /// Accepted and waiting in the queue.
-    Queued,
-    /// Claimed by a worker and executing.
-    Running,
-    /// Finished, successfully or not. (`Arc`: polls snapshot the state
-    /// under the registry mutex, and a deep copy of a large sampling
-    /// result per `GET /v1/jobs/{id}` would serialize every poller and
-    /// worker behind an O(result-size) critical section.)
-    Done(std::sync::Arc<Result<JobResult, FqError>>),
-}
+/// What a shard's registry records for a finished job.
+pub(crate) type JobOutcome = Result<JobResult, FqError>;
 
-impl JobState {
-    /// The wire name of this state (`Done(Err)` reads as `failed`).
-    pub(crate) fn status_name(&self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done(result) if result.is_ok() => "done",
-            JobState::Done(_) => "failed",
-        }
-    }
-}
-
-/// What the registry knows about an id.
-#[derive(Clone, Debug)]
-pub(crate) enum Lookup {
-    /// The job is live (queued, running, or retained done).
-    Active(JobState),
-    /// The job finished but its result was expired by the TTL or count
-    /// bound. → `410 Gone`.
-    Expired,
-    /// The id was never issued (or bounced before queueing). → `404`.
-    Unknown,
-}
-
-/// Aggregate submission counters for `/v1/stats`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct JobCounts {
-    /// Jobs ever accepted (queued), including finished ones.
-    pub(crate) submitted: u64,
-    /// Jobs finished successfully.
-    pub(crate) completed: u64,
-    /// Jobs finished with an error.
-    pub(crate) failed: u64,
-    /// Finished jobs whose retained results were expired.
-    pub(crate) expired: u64,
-}
-
-/// Most tombstones retained: enough to answer `410` for every id a
-/// client could plausibly still hold, without reintroducing the
-/// unbounded growth the expiry exists to prevent. Beyond it the oldest
-/// (smallest) ids degrade to `404`.
-const MAX_TOMBSTONES: usize = 65_536;
-
-#[derive(Debug, Default)]
-struct Registry {
-    jobs: HashMap<u64, JobState>,
-    /// Completed ids in completion order, with their completion times —
-    /// the expiry scan order.
-    done_order: VecDeque<(u64, Instant)>,
-    /// Ids whose done entries were expired (ordered, so capping evicts
-    /// the oldest).
-    tombstones: BTreeSet<u64>,
-}
-
-/// The shared registry.
-#[derive(Debug)]
-pub(crate) struct JobStore {
-    inner: Mutex<Registry>,
-    finished: Condvar,
-    next_id: AtomicU64,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    expired: AtomicU64,
-    /// How long a finished result is retained.
-    ttl: Duration,
-    /// Most finished results retained at once.
-    max_done: usize,
-}
-
-impl JobStore {
-    /// An empty registry; ids start at 1. Finished results are retained
-    /// for at most `ttl`, and at most `max_done` of them at once
-    /// (oldest-completed first out).
-    pub(crate) fn new(ttl: Duration, max_done: usize) -> JobStore {
-        JobStore {
-            inner: Mutex::new(Registry::default()),
-            finished: Condvar::new(),
-            next_id: AtomicU64::new(1),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            ttl,
-            max_done: max_done.max(1),
-        }
-    }
-
-    /// Expires finished entries that are over the TTL or beyond the
-    /// count bound. Called under the registry lock from every mutation
-    /// and lookup, so expiry needs no background thread.
-    fn prune(&self, registry: &mut Registry, now: Instant) {
-        while let Some(&(id, done_at)) = registry.done_order.front() {
-            let over_count = registry.done_order.len() > self.max_done;
-            let over_ttl = now.duration_since(done_at) >= self.ttl;
-            if !over_count && !over_ttl {
-                break;
-            }
-            registry.done_order.pop_front();
-            if registry.jobs.remove(&id).is_some() {
-                registry.tombstones.insert(id);
-                self.expired.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        while registry.tombstones.len() > MAX_TOMBSTONES {
-            let oldest = *registry.tombstones.iter().next().expect("non-empty set");
-            registry.tombstones.remove(&oldest);
-        }
-    }
-
-    /// Mints a fresh id and registers it as queued.
-    pub(crate) fn register(&self) -> JobId {
-        let id = JobId::new(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let mut registry = self.inner.lock().expect("store lock poisoned");
-        self.prune(&mut registry, Instant::now());
-        registry.jobs.insert(id.value(), JobState::Queued);
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        id
-    }
-
-    /// Removes a registration that never made it into the queue (the
-    /// push bounced); undoes the `submitted` count.
-    pub(crate) fn discard(&self, id: JobId) {
-        self.inner
-            .lock()
-            .expect("store lock poisoned")
-            .jobs
-            .remove(&id.value());
-        self.submitted.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Marks `id` as claimed by a worker.
-    pub(crate) fn mark_running(&self, id: JobId) {
-        self.inner
-            .lock()
-            .expect("store lock poisoned")
-            .jobs
-            .insert(id.value(), JobState::Running);
-    }
-
-    /// Records `id`'s final result and wakes synchronous waiters.
-    pub(crate) fn complete(&self, id: JobId, result: Result<JobResult, FqError>) {
-        match &result {
-            Ok(_) => self.completed.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.failed.fetch_add(1, Ordering::Relaxed),
-        };
-        let now = Instant::now();
-        let mut registry = self.inner.lock().expect("store lock poisoned");
-        registry
-            .jobs
-            .insert(id.value(), JobState::Done(std::sync::Arc::new(result)));
-        registry.done_order.push_back((id.value(), now));
-        self.prune(&mut registry, now);
-        drop(registry);
-        self.finished.notify_all();
-    }
-
-    /// What the registry knows about `id`, expiring stale results on the
-    /// way.
-    pub(crate) fn lookup(&self, id: JobId) -> Lookup {
-        let mut registry = self.inner.lock().expect("store lock poisoned");
-        self.prune(&mut registry, Instant::now());
-        match registry.jobs.get(&id.value()) {
-            Some(state) => Lookup::Active(state.clone()),
-            None if registry.tombstones.contains(&id.value()) => Lookup::Expired,
-            None => Lookup::Unknown,
-        }
-    }
-
-    /// The current state of `id`, if it is live (compatibility wrapper
-    /// over [`JobStore::lookup`]; the server itself routes through
-    /// `lookup` to distinguish expired ids).
-    #[cfg(test)]
-    pub(crate) fn snapshot(&self, id: JobId) -> Option<JobState> {
-        match self.lookup(id) {
-            Lookup::Active(state) => Some(state),
-            Lookup::Expired | Lookup::Unknown => None,
-        }
-    }
-
-    /// Blocks until `id` finishes or `timeout` elapses; returns the
-    /// last observed state (`Done(..)` unless the wait timed out), or
-    /// `None` for an unknown (or already-expired) id.
-    pub(crate) fn await_done(&self, id: JobId, timeout: Duration) -> Option<JobState> {
-        let deadline = Instant::now() + timeout;
-        let mut registry = self.inner.lock().expect("store lock poisoned");
-        loop {
-            let state = registry.jobs.get(&id.value())?.clone();
-            if matches!(state, JobState::Done(_)) {
-                return Some(state);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(state);
-            }
-            let (guard, _) = self
-                .finished
-                .wait_timeout(registry, deadline - now)
-                .expect("store lock poisoned");
-            registry = guard;
-        }
-    }
-
-    /// Aggregate counters.
-    pub(crate) fn counts(&self) -> JobCounts {
-        JobCounts {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-        }
-    }
-}
+/// The shard's registry of submitted jobs.
+pub(crate) type JobStore = Registry<JobOutcome>;
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use frozenqubits::{JobId, RunSummary};
+
     use super::*;
-    use frozenqubits::RunSummary;
+    use crate::registry::{JobCounts, JobPhase, Lookup};
 
     /// Retention generous enough that nothing expires mid-test.
     fn retentive() -> JobStore {
         JobStore::new(Duration::from_secs(3600), 4096)
+    }
+
+    fn status(store: &JobStore, id: JobId) -> &'static str {
+        match store.lookup(id) {
+            Lookup::Active(phase) => phase.status_name(),
+            other => panic!("{id} should be live, got {other:?}"),
+        }
     }
 
     fn dummy_result() -> JobResult {
@@ -275,13 +59,13 @@ mod tests {
         let a = store.register();
         let b = store.register();
         assert_ne!(a, b);
-        assert!(matches!(store.snapshot(a), Some(JobState::Queued)));
+        assert_eq!(status(&store, a), "queued");
         store.mark_running(a);
-        assert!(matches!(store.snapshot(a), Some(JobState::Running)));
+        assert_eq!(status(&store, a), "running");
         store.complete(a, Ok(dummy_result()));
-        assert_eq!(store.snapshot(a).unwrap().status_name(), "done");
+        assert_eq!(status(&store, a), "done");
         store.complete(b, Err(FqError::InvalidConfig("x".into())));
-        assert_eq!(store.snapshot(b).unwrap().status_name(), "failed");
+        assert_eq!(status(&store, b), "failed");
         assert_eq!(
             store.counts(),
             JobCounts {
@@ -291,7 +75,6 @@ mod tests {
                 expired: 0
             }
         );
-        assert!(store.snapshot(JobId::new(999)).is_none());
         assert!(matches!(store.lookup(JobId::new(999)), Lookup::Unknown));
     }
 
@@ -300,7 +83,7 @@ mod tests {
         let store = retentive();
         let id = store.register();
         store.discard(id);
-        assert!(store.snapshot(id).is_none());
+        assert!(matches!(store.lookup(id), Lookup::Unknown));
         assert_eq!(store.counts().submitted, 0);
     }
 
@@ -308,23 +91,23 @@ mod tests {
     fn await_done_times_out_with_last_state() {
         let store = retentive();
         let id = store.register();
-        let state = store.await_done(id, Duration::from_millis(10)).unwrap();
-        assert!(matches!(state, JobState::Queued));
+        let phase = store.await_done(id, Duration::from_millis(10)).unwrap();
+        assert!(matches!(phase, JobPhase::Queued));
         assert!(store.await_done(JobId::new(999), Duration::ZERO).is_none());
     }
 
     #[test]
     fn await_done_wakes_on_completion() {
-        let store = std::sync::Arc::new(retentive());
+        let store = Arc::new(retentive());
         let id = store.register();
         let waiter = {
-            let store = store.clone();
+            let store = Arc::clone(&store);
             std::thread::spawn(move || store.await_done(id, Duration::from_secs(30)))
         };
         std::thread::sleep(Duration::from_millis(20));
         store.complete(id, Ok(dummy_result()));
-        let state = waiter.join().unwrap().unwrap();
-        assert_eq!(state.status_name(), "done");
+        let phase = waiter.join().unwrap().unwrap();
+        assert_eq!(phase.status_name(), "done");
     }
 
     #[test]

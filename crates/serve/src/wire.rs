@@ -18,7 +18,7 @@ use serde::json::Value;
 
 use crate::error::kind_name;
 use crate::registry::JobPhase;
-use crate::worker::JobOutcome;
+use crate::store::JobOutcome;
 
 /// Version tag of the service envelopes (independent of the job-spec
 /// wire version).

@@ -13,13 +13,10 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 use fq_faults::{FaultKind, FaultPlan, FaultSite};
-use frozenqubits::{BatchRunner, FqError, JobId, JobResult, JobSpec};
+use frozenqubits::{BatchRunner, FqError, JobId, JobSpec};
 
 use crate::queue::BoundedQueue;
-use crate::registry::Registry;
-
-/// What a shard's registry records for a finished job.
-pub(crate) type JobOutcome = Result<JobResult, FqError>;
+use crate::store::JobStore;
 
 /// One queued submission.
 #[derive(Debug)]
@@ -45,7 +42,7 @@ impl WorkerPool {
     pub(crate) fn spawn(
         count: usize,
         queue: Arc<BoundedQueue<QueuedJob>>,
-        store: Arc<Registry<JobOutcome>>,
+        store: Arc<JobStore>,
         runner: Arc<BatchRunner>,
         busy: Arc<AtomicUsize>,
         fault_plan: Option<Arc<FaultPlan>>,
@@ -147,7 +144,7 @@ mod tests {
     #[test]
     fn workers_drain_the_queue_and_record_results() {
         let queue = Arc::new(BoundedQueue::new(8));
-        let store = Arc::new(Registry::new(Duration::from_secs(3600), 4096));
+        let store = Arc::new(JobStore::new(Duration::from_secs(3600), 4096));
         let runner = Arc::new(BatchRunner::new().with_threads(1));
         let busy = Arc::new(AtomicUsize::new(0));
         let pool = WorkerPool::spawn(
@@ -197,7 +194,7 @@ mod tests {
     #[test]
     fn injected_panic_is_contained_and_the_worker_keeps_draining() {
         let queue = Arc::new(BoundedQueue::new(8));
-        let store = Arc::new(Registry::new(Duration::from_secs(3600), 4096));
+        let store = Arc::new(JobStore::new(Duration::from_secs(3600), 4096));
         let runner = Arc::new(BatchRunner::new().with_threads(1));
         let busy = Arc::new(AtomicUsize::new(0));
         // Exactly the first job panics; the second must still execute
