@@ -47,10 +47,6 @@ pub enum FqError {
     Io(String),
 }
 
-/// The pre-0.2 name of [`FqError`].
-#[deprecated(since = "0.2.0", note = "renamed to `FqError`")]
-pub type FrozenQubitsError = FqError;
-
 impl fmt::Display for FqError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -1,14 +1,15 @@
 //! Phase 2 of the plan/execute pipeline: running an
 //! [`ExecutionPlan`]'s branches through an [`Executor`] backend.
 //!
-//! Every branch is an independent job — optimize its `(γ, β)`, instantiate
-//! its executable by angle-editing the plan's shared template (no
-//! recompilation), and evaluate the ideal/noisy expectations or sample the
-//! noisy device. Branch jobs never communicate, so they parallelize
-//! embarrassingly: [`ParallelExecutor`] fans them out across worker
-//! threads (scoped `std::thread` — the offline toolchain has no rayon,
-//! but the work-stealing loop below serves the same role), while
-//! [`SequentialExecutor`] runs them in order on the caller's thread.
+//! Every branch is an independent job — optimize its `(γ, β)`, then
+//! evaluate the ideal/noisy expectations against the plan's shared
+//! template, or angle-edit that template into the branch's executable (no
+//! recompilation) and sample the noisy device. Branch jobs never
+//! communicate, so they parallelize embarrassingly: [`ParallelExecutor`]
+//! fans them out across worker threads (scoped `std::thread` — the
+//! offline toolchain has no rayon, but the work-stealing loop below
+//! serves the same role), while [`SequentialExecutor`] runs them in
+//! order on the caller's thread.
 //! Both produce **bit-identical** outcomes: each branch's arithmetic is
 //! self-contained and results are aggregated in branch order.
 
@@ -18,13 +19,13 @@ use fq_circuit::build_qaoa_circuit;
 use fq_ising::{OutputDistribution, Spin};
 use fq_sim::analytic::{expectation_from_terms_p1, PreparedP1};
 use fq_sim::{
-    fidelity_model, ising_expectation_from_terms, log_eps, noisy_expectation_from_lightcone,
-    noisy_expectation_from_terms, noisy_expectation_lightcone, sample_noisy, NoisySamplerConfig,
+    ising_expectation_from_terms, noisy_expectation_from_lightcone, noisy_expectation_from_terms,
+    sample_noisy, NoisySamplerConfig,
 };
-use fq_transpile::{Compiled, Device};
+use fq_transpile::Device;
 
 use crate::api::ErrorModel;
-use crate::pipeline::{metrics_of, polish_parameters_tiered, CircuitMetrics};
+use crate::pipeline::{polish_parameters_tiered, CircuitMetrics};
 use crate::plan::ExecutionPlan;
 use crate::{
     optimize_parameters_multilayer, optimize_parameters_prepared, FqError, FrozenQubitsConfig,
@@ -94,8 +95,8 @@ pub trait Executor {
     fn name(&self) -> &'static str;
 
     /// Runs the analytic pipeline for every branch under an explicit
-    /// noise model: parameter optimization, template instantiation,
-    /// ideal + modelled-noisy expectations, EPS and circuit metrics.
+    /// noise model: parameter optimization, ideal + modelled-noisy
+    /// expectations, EPS and circuit metrics.
     /// Outcomes are in branch order.
     ///
     /// # Errors
@@ -396,9 +397,10 @@ mod disjoint {
     }
 }
 
-/// The shared per-branch analytic job: optimize, instantiate from the
-/// template, evaluate. (`pub(crate)`: the batch engine drives branches
-/// directly through its flattened jobs×branches pool.)
+/// The shared per-branch analytic job: optimize, then evaluate against
+/// the template's shared structure tables. (`pub(crate)`: the batch
+/// engine drives branches directly through its flattened jobs×branches
+/// pool.)
 pub(crate) fn execute_branch(
     plan: &ExecutionPlan,
     branch: usize,
@@ -437,28 +439,17 @@ pub(crate) fn execute_branch(
         }
         (None, None) => optimize_parameters_multilayer(model, p, config.param_grid)?,
     };
-    // Instantiate from the shared template: angle editing only, no
-    // layout/routing/scheduling work. The approximate tiers skip even
-    // the angle edit: nothing downstream of this point reads an angle —
-    // the noise models, EPS and metrics are all structure-only, and the
-    // template shares the branch's exact structure — so reusing the
-    // template's own compilation changes no output bit; it only saves
-    // the per-branch gate-list rewrite. They also fetch the template's
-    // memoized branch-invariant tables (cone fidelities, attenuation,
-    // EPS, metrics) instead of re-deriving them per branch — bit-equal
-    // by construction (see `TierDerived`), and the dominant per-branch
-    // cost outside the optimizer.
-    let edited;
-    let tier_derived;
-    let compiled: &Compiled = if let Some(em) = em.as_ref() {
-        let template = plan.template_for(branch);
-        tier_derived = Some(template.tier_derived(model, p, device, em.lightcone_depth)?);
-        template.compiled()
-    } else {
-        tier_derived = None;
-        edited = plan.template_for(branch).edit_for(model)?;
-        &edited
-    };
+    // Every tier evaluates on the template's memoized structure tables
+    // (cone fidelities, attenuation, EPS, metrics). None of them reads an
+    // angle and every sibling shares the template's structure, so they
+    // are the same bits for every branch and job on this template (see
+    // `BranchTables`), and the branch's angles never need editing in.
+    // Exact walks the full cones; the tiers truncate them at their own
+    // depth.
+    let depth = em.as_ref().map_or(usize::MAX, |em| em.lightcone_depth);
+    let tables = plan
+        .template_for(branch)
+        .branch_tables(model, p, device, depth)?;
     // The per-term expectations are computed once; the scalar ideal
     // expectation is assembled from them bit-identically instead of a
     // second full evaluation (the old two-call path recomputed every
@@ -475,24 +466,11 @@ pub(crate) fn execute_branch(
         let ev = ising_expectation_from_terms(model, &z, &zz)?;
         (ev, z, zz)
     };
-    let ev_noisy = match (noise, tier_derived.as_ref()) {
-        (NoiseEval::Lightcone, None) => {
-            noisy_expectation_lightcone(model, &z, &zz, compiled, device)?
+    let ev_noisy = match noise {
+        NoiseEval::Lightcone => {
+            noisy_expectation_from_lightcone(model, &z, &zz, &tables.fid, &tables.cones)?
         }
-        (NoiseEval::Lightcone, Some(d)) => {
-            noisy_expectation_from_lightcone(model, &z, &zz, &d.fid, &d.cones)?
-        }
-        (NoiseEval::ProcessFidelity, None) => {
-            let fid = fidelity_model(compiled, device);
-            noisy_expectation_from_terms(model, &z, &zz, &fid)?
-        }
-        (NoiseEval::ProcessFidelity, Some(d)) => {
-            noisy_expectation_from_terms(model, &z, &zz, &d.fid)?
-        }
-    };
-    let (eps_log, metrics) = match tier_derived.as_ref() {
-        Some(d) => (d.eps_log, d.metrics),
-        None => (log_eps(compiled, device), metrics_of(model, p, compiled)),
+        NoiseEval::ProcessFidelity => noisy_expectation_from_terms(model, &z, &zz, &tables.fid)?,
     };
     Ok(BranchOutcome {
         branch,
@@ -503,8 +481,8 @@ pub(crate) fn execute_branch(
         betas,
         ev_ideal,
         ev_noisy,
-        log_eps: eps_log,
-        metrics,
+        log_eps: tables.eps_log,
+        metrics: tables.metrics,
     })
 }
 
@@ -646,6 +624,86 @@ mod tests {
                         .unwrap()
                 };
                 assert_eq!(out.ev_ideal, old_ev, "p={p} branch {b}");
+            }
+        }
+    }
+
+    // The exact tier used to angle-edit every branch's executable and
+    // re-derive its noise tables, EPS and metrics from the edited
+    // circuit. It now reads the template's memoized tables at full cone
+    // depth; every output must be the same bits as that old per-branch
+    // recomputation, for both noise models, at p = 1 and p = 2, and a
+    // second plan over the same template cache must reuse the tables.
+    // The p = 1 template is longer than the tiers' 192-gate cone depth,
+    // so exact reading truncated cones would fail here too.
+    #[test]
+    fn exact_branch_tables_match_the_old_per_branch_recomputation() {
+        use crate::pipeline::metrics_of;
+        use crate::{plan_execution_cached, TemplateCache};
+        use fq_sim::{fidelity_model, log_eps, noisy_expectation_lightcone};
+        use std::sync::Arc;
+
+        let device = Device::ibm_montreal();
+        let cache = TemplateCache::new();
+        for (p, n, attach) in [(1usize, 28usize, 2usize), (2, 12, 1)] {
+            let parent = to_ising_pm1(&gen::barabasi_albert(n, attach, 23).unwrap(), 23);
+            let cfg = FrozenQubitsConfig {
+                layers: p,
+                prune_symmetric: false,
+                ..FrozenQubitsConfig::with_frozen(3)
+            };
+            let plan = plan_execution_cached(&parent, &device, &cfg, &cache).unwrap();
+            assert_eq!(plan.num_branches(), 8);
+            if p == 1 {
+                let gates = plan.template_for(0).compiled().circuit.len();
+                assert!(
+                    gates > ErrorModel::balanced().lightcone_depth,
+                    "{gates} gates"
+                );
+            }
+            for noise in [NoiseEval::Lightcone, NoiseEval::ProcessFidelity] {
+                for b in 0..plan.num_branches() {
+                    let out = execute_branch(&plan, b, &device, &cfg, noise).unwrap();
+                    let model = plan.branch(b).problem.model();
+                    let edited = plan.template_for(b).edit_for(model).unwrap();
+                    let (z, zz) = if p == 1 {
+                        PreparedP1::new(model).terms_at(out.gammas[0], out.betas[0])
+                    } else {
+                        let qc = build_qaoa_circuit(model, p).unwrap();
+                        let bound = qc.bind(&out.gammas, &out.betas).unwrap();
+                        let sv = fq_sim::run_circuit(&bound).unwrap();
+                        sv.term_expectations(model).unwrap()
+                    };
+                    let old_noisy = match noise {
+                        NoiseEval::Lightcone => {
+                            noisy_expectation_lightcone(model, &z, &zz, &edited, &device).unwrap()
+                        }
+                        NoiseEval::ProcessFidelity => {
+                            let fid = fidelity_model(&edited, &device);
+                            noisy_expectation_from_terms(model, &z, &zz, &fid).unwrap()
+                        }
+                    };
+                    let at = format!("p={p} {noise:?} branch {b}");
+                    assert_eq!(out.ev_noisy.to_bits(), old_noisy.to_bits(), "{at}");
+                    let old_eps = log_eps(&edited, &device);
+                    assert_eq!(out.log_eps.to_bits(), old_eps.to_bits(), "{at}");
+                    assert_eq!(out.metrics, metrics_of(model, p, &edited), "{at}");
+                }
+            }
+
+            let again = plan_execution_cached(&parent, &device, &cfg, &cache).unwrap();
+            for b in 0..plan.num_branches() {
+                let model = plan.branch(b).problem.model();
+                let first = plan
+                    .template_for(b)
+                    .branch_tables(model, p, &device, usize::MAX);
+                let second = again
+                    .template_for(b)
+                    .branch_tables(model, p, &device, usize::MAX);
+                assert!(
+                    Arc::ptr_eq(&first.unwrap(), &second.unwrap()),
+                    "p={p} branch {b}: the second plan rebuilt the tables"
+                );
             }
         }
     }

@@ -18,9 +18,9 @@
 //! [`plan_execution`] freezes the hotspots, partitions the state space and
 //! compiles **one** [`CompiledTemplate`] per distinct sub-circuit shape
 //! (usually exactly one), and an [`Executor`] — sequential, or parallel
-//! across all cores — instantiates every branch by angle-editing the
-//! shared template. The public front door over that core is the **job
-//! API** in [`api`]:
+//! across all cores — evaluates every branch against the shared
+//! template, angle-editing it only where a branch is sampled. The public
+//! front door over that core is the **job API** in [`api`]:
 //!
 //! * [`api::JobBuilder`] → [`api::JobSpec`] → [`api::JobResult`] — typed,
 //!   build-time-validated job descriptions with a pinned JSON wire form;
@@ -92,8 +92,6 @@ pub use api::{
 };
 pub use config::{FrozenQubitsConfig, QosTier};
 pub use error::FqError;
-#[allow(deprecated)]
-pub use error::FrozenQubitsError;
 pub use executor::{
     auto_threads, BranchOutcome, BranchSamples, Executor, ExecutorKind, NoiseEval,
     ParallelExecutor, SequentialExecutor,

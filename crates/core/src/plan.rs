@@ -6,10 +6,10 @@
 //! (§3.3): planning exploits that by compiling **one**
 //! [`CompiledTemplate`] per distinct sub-circuit shape — in the common
 //! case exactly one for the whole plan — instead of one compile per
-//! branch. Phase 2 (an [`Executor`](crate::Executor)) then instantiates
-//! each branch by angle-editing the shared template, so the quantum
-//! compile cost of the `m` knob is `O(1)` rather than `O(2^m)` and branch
-//! execution can fan out across cores.
+//! branch. Phase 2 (an [`Executor`](crate::Executor)) then evaluates
+//! each branch on the shared template (angle-editing it only to sample
+//! a branch), so the quantum compile cost of the `m` knob is `O(1)`
+//! rather than `O(2^m)` and branch execution can fan out across cores.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

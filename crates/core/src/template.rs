@@ -20,25 +20,31 @@ use crate::pipeline::{metrics_of, CircuitMetrics};
 use crate::store::device_fingerprint;
 use crate::FqError;
 
-/// Branch-invariant tables of the approximate-tier execution path,
+/// Branch-invariant structure tables of the analytic execution path,
 /// computed once per template and shared by every branch (and every
-/// job) that executes on it.
+/// job) that executes on it, in every QoS tier.
 ///
-/// The invariance argument, field by field: the tiers run all branches
-/// on the template's own compiled circuit (no angle edit — nothing in
-/// these tables reads an angle), every sibling model sharing the
+/// The invariance argument, field by field: no field reads an angle.
+/// Angle editing ([`CompiledTemplate::edit_for`]) rewrites only the
+/// γ-scales of `Rz` gates, and an `Rz` is error-free whatever its angle,
+/// so a branch's edited executable has the template's gate kinds,
+/// qubits, schedule and layout — and therefore the template's error
+/// rates, attenuation, EPS and metrics. Every sibling model sharing the
 /// template has the same variable count and the same coupling key set
 /// in the same canonical order (that is what
 /// [`ShapeSignature`](crate::ShapeSignature) equality means, and
 /// freezing never touches couplings between free variables), and cone
 /// fidelities depend only on a term's qubit set plus the circuit's gate
 /// structure — never on coefficient values. So each field is a pure
-/// function of `(template, device, layers, lightcone depth)` and caching
-/// it changes no output bit.
-pub(crate) struct TierDerived {
+/// function of `(template, device, layers, lightcone depth)`, the exact
+/// tier's full-depth cones included, and caching it changes no output
+/// bit.
+pub(crate) struct BranchTables {
     /// Global/per-qubit attenuation factors of the compiled template.
     pub(crate) fid: FidelityModel,
-    /// Truncated per-term cone fidelities at the tier's lightcone depth.
+    /// Per-term cone fidelities, truncated at the tier's lightcone depth
+    /// (`usize::MAX` for the exact tier: the untruncated cones,
+    /// bit-identical to [`fq_sim::lightcone_fidelities`]).
     pub(crate) cones: LightconeFidelity,
     /// `log_eps` of the template executable.
     pub(crate) eps_log: f64,
@@ -46,24 +52,24 @@ pub(crate) struct TierDerived {
     pub(crate) metrics: CircuitMetrics,
 }
 
-/// Cache key of one [`TierDerived`] entry: device identity fingerprint,
+/// Cache key of one [`BranchTables`] entry: device identity fingerprint,
 /// QAOA layer count, lightcone truncation depth.
-type TierKey = (u64, usize, usize);
+type TablesKey = (u64, usize, usize);
 
-/// The lazily built [`TierDerived`] memo a template shares across its
+/// The lazily built [`BranchTables`] memo a template shares across its
 /// clones.
-type TierDerivedMemo = Arc<Mutex<Vec<(TierKey, Arc<TierDerived>)>>>;
+type BranchTablesMemo = Arc<Mutex<Vec<(TablesKey, Arc<BranchTables>)>>>;
 
 /// A routed, reusable circuit template for a family of sibling
 /// sub-problems.
 pub struct CompiledTemplate {
     compiled: Compiled,
     num_vars: usize,
-    /// Lazily built [`TierDerived`] tables, shared across clones: the
+    /// Lazily built [`BranchTables`], shared across clones: the
     /// template cache hands out clones per plan, so one computation
     /// serves every branch of every job on this shape. Excluded from
     /// `PartialEq`/`Debug`/serialization — it is a memo, not state.
-    tier_derived: TierDerivedMemo,
+    branch_tables: BranchTablesMemo,
 }
 
 impl Clone for CompiledTemplate {
@@ -71,7 +77,7 @@ impl Clone for CompiledTemplate {
         CompiledTemplate {
             compiled: self.compiled.clone(),
             num_vars: self.num_vars,
-            tier_derived: Arc::clone(&self.tier_derived),
+            branch_tables: Arc::clone(&self.branch_tables),
         }
     }
 }
@@ -134,7 +140,7 @@ impl CompiledTemplate {
         Ok(CompiledTemplate {
             compiled,
             num_vars: representative.num_vars(),
-            tier_derived: Arc::default(),
+            branch_tables: Arc::default(),
         })
     }
 
@@ -161,42 +167,43 @@ impl CompiledTemplate {
         Ok(CompiledTemplate {
             num_vars: v.field("num_vars")?.as_usize()?,
             compiled: fq_transpile::compiled_from_value(v.field("compiled")?)?,
-            tier_derived: Arc::default(),
+            branch_tables: Arc::default(),
         })
     }
 
-    /// The memoized [`TierDerived`] tables for `(device, layers,
+    /// The memoized [`BranchTables`] for `(device, layers,
     /// lightcone_depth)`, computing them on first use. `model` may be
     /// any sibling sharing this template's shape — the tables do not
-    /// depend on which one (see [`TierDerived`]).
+    /// depend on which one (see [`BranchTables`]). `lightcone_depth ==
+    /// usize::MAX` gives the exact tier's untruncated cones.
     ///
     /// # Errors
     ///
     /// Propagates the cone-walk width check (a model wider than the
     /// template, impossible for models the plan paired with it).
-    pub(crate) fn tier_derived(
+    pub(crate) fn branch_tables(
         &self,
         model: &IsingModel,
         layers: usize,
         device: &Device,
         lightcone_depth: usize,
-    ) -> Result<Arc<TierDerived>, FqError> {
+    ) -> Result<Arc<BranchTables>, FqError> {
         let key = (device_fingerprint(device), layers, lightcone_depth);
         let mut cache = self
-            .tier_derived
+            .branch_tables
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((_, derived)) = cache.iter().find(|(k, _)| *k == key) {
-            return Ok(Arc::clone(derived));
+        if let Some((_, tables)) = cache.iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(tables));
         }
-        let derived = Arc::new(TierDerived {
+        let tables = Arc::new(BranchTables {
             fid: fidelity_model(&self.compiled, device),
             cones: lightcone_fidelities_truncated(model, &self.compiled, device, lightcone_depth)?,
             eps_log: log_eps(&self.compiled, device),
             metrics: metrics_of(model, layers, &self.compiled),
         });
-        cache.push((key, Arc::clone(&derived)));
-        Ok(derived)
+        cache.push((key, Arc::clone(&tables)));
+        Ok(tables)
     }
 
     /// Produces the executable for a sibling sub-problem by rewriting the

@@ -326,9 +326,21 @@ fn read_framed_response(
     let truncated =
         |at: &str| FqError::Io(format!("truncated HTTP response: connection closed {at}"));
     let bad = |msg: &str| FqError::Serde(format!("malformed HTTP response: {msg}"));
+    // A stalled peer is not a truncated one: a read that hit the socket
+    // timeout says so, and only a closed or reset connection reads as
+    // truncation.
+    let head_read = |at: &str, e: std::io::Error| match e.kind() {
+        ErrorKind::TimedOut | ErrorKind::WouldBlock => {
+            FqError::Io(format!("HTTP response timed out {at}: {e}"))
+        }
+        _ => FqError::from(e),
+    };
 
     let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
+    let read = reader
+        .read_line(&mut status_line)
+        .map_err(|e| head_read("before the status line", e))?;
+    if read == 0 {
         return Err(truncated("before the status line"));
     }
     let status_line = status_line.trim_end();
@@ -341,7 +353,10 @@ fn read_framed_response(
     let mut headers: Vec<(String, String)> = Vec::new();
     loop {
         let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        let read = reader
+            .read_line(&mut line)
+            .map_err(|e| head_read("mid-headers", e))?;
+        if read == 0 {
             return Err(truncated("mid-headers"));
         }
         let line = line.trim_end();
@@ -366,9 +381,6 @@ fn read_framed_response(
         )));
     }
 
-    // A stalled peer is not a truncated one: a read that hit the socket
-    // timeout says so, and only a closed or reset connection reads as
-    // truncation.
     let mut body = vec![0u8; length];
     reader.read_exact(&mut body).map_err(|e| match e.kind() {
         ErrorKind::TimedOut | ErrorKind::WouldBlock => FqError::Io(format!(

@@ -206,6 +206,17 @@ fn truncated_response_is_typed_io_error() {
 /// it timed out.
 #[test]
 fn stalled_body_is_a_timeout_not_a_truncation() {
+    let message =
+        stalled_response_error(b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\nhalf-a-body");
+    assert!(message.contains("timed out mid-body"), "got `{message}`");
+}
+
+/// Runs one request against a fake shard that reads the request head,
+/// writes `prefix` (possibly nothing) and then holds the socket open
+/// without another byte, under a 200 ms client read timeout. Returns the
+/// client's error message and asserts it names a timeout, not a
+/// truncation.
+fn stalled_response_error(prefix: &'static [u8]) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let (release, held) = std::sync::mpsc::channel::<()>();
@@ -213,9 +224,7 @@ fn stalled_body_is_a_timeout_not_a_truncation() {
         let (mut stream, _) = listener.accept().unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         read_request_head(&mut reader);
-        stream
-            .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\nhalf-a-body")
-            .unwrap();
+        stream.write_all(prefix).unwrap();
         // Keep the socket open until the client has given up.
         let _ = held.recv();
     });
@@ -224,19 +233,39 @@ fn stalled_body_is_a_timeout_not_a_truncation() {
     conn.set_read_timeout(Duration::from_millis(200));
     let started = Instant::now();
     let error = conn.request("GET", "/v1/stats", None).unwrap_err();
-    match error {
-        FqError::Io(message) => {
-            assert!(message.contains("timed out"), "got `{message}`");
-            assert!(!message.contains("truncated"), "got `{message}`");
-        }
-        other => panic!("expected Io, got {other:?}"),
-    }
     assert!(
         started.elapsed() < Duration::from_secs(5),
         "the short timeout applies"
     );
     release.send(()).unwrap();
     shard.join().unwrap();
+    match error {
+        FqError::Io(message) => {
+            assert!(message.contains("timed out"), "got `{message}`");
+            assert!(!message.contains("truncated"), "got `{message}`");
+            message
+        }
+        other => panic!("expected Io, got {other:?}"),
+    }
+}
+
+/// A peer that accepts, reads the request and never answers is a stall
+/// before the status line — named as such, not as a bare OS error.
+#[test]
+fn silent_peer_times_out_before_the_status_line() {
+    let message = stalled_response_error(b"");
+    assert!(
+        message.contains("timed out before the status line"),
+        "got `{message}`"
+    );
+}
+
+/// A peer that sends only the status line and then stalls is a timeout
+/// mid-headers.
+#[test]
+fn stalled_headers_are_a_timeout_mid_headers() {
+    let message = stalled_response_error(b"HTTP/1.1 200 OK\r\n");
+    assert!(message.contains("timed out mid-headers"), "got `{message}`");
 }
 
 /// A peer that closes before finishing the header block is the same

@@ -562,6 +562,8 @@ mod tests {
         let exact = lightcone_fidelities(&m, &c, &dev).unwrap();
         let full_depth = lightcone_fidelities_truncated(&m, &c, &dev, c.circuit.len()).unwrap();
         assert_eq!(exact, full_depth, "full depth must reproduce every bit");
+        let unbounded = lightcone_fidelities_truncated(&m, &c, &dev, usize::MAX).unwrap();
+        assert_eq!(exact, unbounded, "the exact tier's usize::MAX depth too");
         let zero_depth = lightcone_fidelities_truncated(&m, &c, &dev, 0).unwrap();
         let global = fidelity_model(&c, &dev).gate_fidelity;
         for &f in zero_depth.z.iter().chain(&zero_depth.zz) {
